@@ -5,7 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --offline
-cargo test -q --offline
+# Every crate's tests, not only the umbrella package's integration tests.
+cargo test -q --offline --workspace
 cargo test -q --offline --test crash_recovery --test fault_matrix
 # Query-path determinism gate: the scheduled batch engine must answer
 # identically to the sequential loop at every thread count.

@@ -230,11 +230,20 @@ impl Generation {
 
     /// Entries stored for a placement.
     pub fn entries_of(&self, view: ViewId) -> u64 {
+        self.extent_of(view).0
+    }
+
+    /// `(entries, leaf pages)` stored for a placement: a view is packed into
+    /// one contiguous leaf run, `first_leaf..=last_leaf` of its tree.
+    pub fn extent_of(&self, view: ViewId) -> (u64, u64) {
         self.placements
             .iter()
             .find(|p| p.def.id == view)
             .and_then(|p| self.trees[p.tree].view_extent(view.0))
-            .map_or(0, |(_, ext)| ext.entries)
+            .filter(|(_, ext)| ext.entries > 0)
+            .map_or((0, 0), |(_, ext)| {
+                (ext.entries, ext.last_leaf.saturating_sub(ext.first_leaf) + 1)
+            })
     }
 
     /// Total allocated bytes across this generation's files.

@@ -5,9 +5,14 @@
 //! answerable from several materialized views ("other parameters like the
 //! existence of an index … should be taken into account"). The planner
 //! scores every placement that *derives* the query's lattice node by the
-//! expected number of matching tuples, breaking ties toward the placement
-//! whose physical sort order has the longest prefix of sliced attributes —
-//! that is exactly what the paper's multi-sort-order replicas are for.
+//! leaf pages its search must scan. A placement's physical sort order is
+//! its reversed projection (§2.3), so the predicates on its leading sort
+//! attributes select one contiguous leaf run; the run's length is the
+//! placement's leaf pages divided by those attributes' cardinalities. That
+//! is what the paper's multi-sort-order replicas are for: a small view
+//! sorted on the wrong attribute is read end to end, while a large replica
+//! sorted on the sliced attribute is read for a leaf or two. Ties go to
+//! fewer expected matching tuples, then to the longer sort prefix.
 
 use crate::delta::DeltaSnapshot;
 use crate::forest::{CubetreeForest, Generation};
@@ -153,7 +158,7 @@ impl<'a> RollupAggregator<'a> {
 pub struct ForestPlan {
     /// Index into [`CubetreeForest::placements`].
     pub placement: usize,
-    /// Expected matching tuples (the paper's cost unit).
+    /// Expected matching tuples (the first tie-break after leaf pages).
     pub est_tuples: f64,
     /// Length of the physical-sort-order prefix covered by predicates.
     pub sort_prefix: usize,
@@ -171,7 +176,7 @@ pub fn plan_forest_query(
 }
 
 /// Chooses the cheapest placement able to answer `q` within one pinned
-/// generation (entry counts, and therefore cost estimates, are
+/// generation (entry and leaf counts, and therefore cost estimates, are
 /// per-generation state).
 ///
 /// # Errors
@@ -181,72 +186,106 @@ pub fn plan_generation_query(
     catalog: &Catalog,
     q: &SliceQuery,
 ) -> Result<ForestPlan> {
-    plan_query_with_entries(gen.placements(), |id| gen.entries_of(id), catalog, q)
+    plan_query_with_entries(gen.placements(), |id| gen.extent_of(id), catalog, q)
 }
 
-/// The planner core, over an explicit entry-count source. The sharded
-/// engine plans each query *once* against the entry counts summed across
-/// every shard's pinned generation, then executes the chosen placement on
-/// all of them: per-shard planning could legitimately pick different views
-/// on different shards (entry counts diverge; empty shards tie everywhere),
-/// and views carry their own aggregate functions, so gathered partials must
-/// all come from one placement to be coherent.
+/// The planner's estimate for one placement (see [`placement_cost`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlacementCost {
+    /// Leaf pages the search must scan: the primary cost.
+    pub leaf_pages: f64,
+    /// Expected matching tuples.
+    pub est_tuples: f64,
+    /// Length of the physical-sort-order prefix covered by predicates.
+    pub sort_prefix: usize,
+}
+
+/// Scores `placement` for `q`, given its `(entries, leaf pages)`; `None` if
+/// the placement cannot derive the query's node.
+///
+/// The physical sort order is the reversed projection (§2.3), so the
+/// entries matching the predicates on its leading sort attributes form one
+/// contiguous leaf run. The run holds `entries / Π card(prefix attr)`
+/// entries — a bounded range contributes its span fraction and ends the
+/// prefix — packed at the placement's entries per leaf page; that many
+/// leaves (rounded up, at least one) is what the search reads.
+pub fn placement_cost(
+    placement: &crate::forest::PlacedView,
+    (entries, leaves): (u64, u64),
+    catalog: &Catalog,
+    q: &SliceQuery,
+) -> Option<PlacementCost> {
+    let def = &placement.def;
+    if !catalog.derivable_from(&q.node(), &def.projection) {
+        return None;
+    }
+    // How many times a predicate on `a` cuts the entries down: its
+    // cardinality for a point, the span fraction for a bounded range.
+    let reduction = |lo: u64, hi: u64, a: AttrId| {
+        let card = catalog.attr(a).cardinality.max(1) as f64;
+        let span = (hi.saturating_sub(lo) + 1) as f64;
+        (card / span).max(1.0)
+    };
+    // Selectivity from predicates on attributes the view stores directly.
+    let selectivity: f64 = def
+        .projection
+        .iter()
+        .filter_map(|&a| q.range_of(a).map(|(lo, hi)| reduction(lo, hi, a)))
+        .product();
+    let entries = entries as f64;
+    let est_tuples = (entries / selectivity).max(1.0);
+    // Count how many leading sort attributes the query pins; a bounded
+    // range keeps the run contiguous but ends the prefix.
+    let mut sort_prefix = 0usize;
+    let mut prefix_selectivity = 1.0f64;
+    for &a in def.projection.iter().rev() {
+        let Some((lo, hi)) = q.range_of(a) else { break };
+        sort_prefix += 1;
+        prefix_selectivity *= reduction(lo, hi, a);
+        if lo != hi {
+            break;
+        }
+    }
+    let entries_per_leaf = (entries / leaves.max(1) as f64).max(1.0);
+    let leaf_pages = (entries / prefix_selectivity / entries_per_leaf).ceil().max(1.0);
+    Some(PlacementCost { leaf_pages, est_tuples, sort_prefix })
+}
+
+/// The planner core, over an explicit `(entries, leaf pages)` source: picks
+/// the placement with the fewest estimated leaf pages ([`placement_cost`]),
+/// breaking ties by fewer matching tuples, then by the longer sort prefix.
+///
+/// The sharded engine plans each query *once* against the extents summed
+/// across every shard's pinned generation, then executes the chosen
+/// placement on all of them: per-shard planning could legitimately pick
+/// different views on different shards (extents diverge; empty shards tie
+/// everywhere), and views carry their own aggregate functions, so gathered
+/// partials must all come from one placement to be coherent.
 ///
 /// # Errors
 /// [`CtError::Unsupported`] if no placement derives the query's node.
 pub fn plan_query_with_entries(
     placements: &[crate::forest::PlacedView],
-    entries_of: impl Fn(ViewId) -> u64,
+    extent_of: impl Fn(ViewId) -> (u64, u64),
     catalog: &Catalog,
     q: &SliceQuery,
 ) -> Result<ForestPlan> {
-    let node = q.node();
-    let mut best: Option<ForestPlan> = None;
+    let rank = |c: &PlacementCost| (c.leaf_pages, c.est_tuples, std::cmp::Reverse(c.sort_prefix));
+    let mut best: Option<(usize, PlacementCost)> = None;
     for (i, p) in placements.iter().enumerate() {
-        if !catalog.derivable_from(&node, &p.def.projection) {
+        let Some(cost) = placement_cost(p, extent_of(p.def.id), catalog, q) else {
             continue;
-        }
-        let entries = entries_of(p.def.id) as f64;
-        // Selectivity from predicates on attributes the view stores
-        // directly; a bounded range contributes its span fraction.
-        let mut selectivity = 1.0f64;
-        for a in &p.def.projection {
-            if let Some((lo, hi)) = q.range_of(*a) {
-                let card = catalog.attr(*a).cardinality.max(1) as f64;
-                let span = (hi.saturating_sub(lo) + 1) as f64;
-                selectivity *= (card / span).max(1.0);
-            }
-        }
-        let est_tuples = (entries / selectivity).max(1.0);
-        // Physical sort order is the reversed projection (§2.3): count how
-        // many of its leading attributes the query pins; a bounded range
-        // keeps the run contiguous but ends the prefix.
-        let mut sort_prefix = 0usize;
-        for a in p.def.projection.iter().rev() {
-            match q.range_of(*a) {
-                Some((lo, hi)) if lo == hi => sort_prefix += 1,
-                Some(_) => {
-                    sort_prefix += 1;
-                    break;
-                }
-                None => break,
-            }
-        }
-        let candidate = ForestPlan { placement: i, est_tuples, sort_prefix };
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                (candidate.est_tuples, std::cmp::Reverse(candidate.sort_prefix))
-                    < (b.est_tuples, std::cmp::Reverse(b.sort_prefix))
-            }
         };
-        if better {
-            best = Some(candidate);
+        if best.as_ref().is_none_or(|(_, b)| rank(&cost) < rank(b)) {
+            best = Some((i, cost));
         }
     }
-    best.ok_or_else(|| {
-        CtError::unsupported("no materialized view can answer this query".to_string())
+    best.map(|(placement, c)| ForestPlan {
+        placement,
+        est_tuples: c.est_tuples,
+        sort_prefix: c.sort_prefix,
     })
+    .ok_or_else(|| CtError::unsupported("no materialized view can answer this query".to_string()))
 }
 
 /// The search region of `q` over a placement with definition `def` in a
@@ -466,20 +505,11 @@ pub fn execute_forest_query_batch(
 /// generation it answered from) pin the forest themselves, read
 /// [`Generation::number`], and execute through this entry point, so the
 /// stamp and the answers are guaranteed to come from the same snapshot.
-pub fn execute_generation_query_batch(
-    gen: &Generation,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    queries: &[SliceQuery],
-) -> Result<BatchOutput> {
-    execute_generation_query_batch_with_delta(gen, None, env, catalog, queries)
-}
-
-/// The batched executor with resident-delta merging: every rider of a
-/// shared scan additionally absorbs the delta snapshot's groups for its own
-/// query (each rider re-applies its own predicates over the delta rows,
-/// exactly as it does over the shared tree scan). With `delta` `None` this
-/// is the historical batched executor, bit for bit.
+///
+/// Every rider of a shared scan additionally absorbs the delta snapshot's
+/// groups for its own query (each rider re-applies its own predicates over
+/// the delta rows, exactly as it does over the shared tree scan). With
+/// `delta` `None` only the pinned trees are read.
 pub fn execute_generation_query_batch_with_delta(
     gen: &Generation,
     delta: Option<&DeltaSnapshot>,

@@ -562,7 +562,7 @@ impl ShardedEngine {
 
     /// Pins every shard once (generation + delta snapshot under each
     /// shard's generation lock). Queries are planned against these pins
-    /// *centrally* — entry counts summed across all shards — and executed
+    /// *centrally* — extents summed across all shards — and executed
     /// against them per shard, so one batch sees one consistent cut.
     fn pin_all(&self) -> Result<Vec<(ReaderPin, DeltaSnapshot)>> {
         self.shards
@@ -571,12 +571,12 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Plans `q` once for every shard: the planner's entry counts are the
-    /// sums across all shard pins, mirroring what the unsharded forest
-    /// would see. Per-shard planning is not an option — entry counts
-    /// diverge across shards (and tie on empty ones), different placements
-    /// carry different aggregate functions, and gathered partials must all
-    /// come from one placement to merge coherently.
+    /// Plans `q` once for every shard: the planner's entry and leaf-page
+    /// counts are the sums across all shard pins, mirroring what the
+    /// unsharded forest would see. Per-shard planning is not an option —
+    /// extents diverge across shards (and tie on empty ones), different
+    /// placements carry different aggregate functions, and gathered
+    /// partials must all come from one placement to merge coherently.
     fn plan_across(
         &self,
         pins: &[(ReaderPin, DeltaSnapshot)],
@@ -584,7 +584,12 @@ impl ShardedEngine {
     ) -> Result<ForestPlan> {
         plan_query_with_entries(
             pins[0].0.placements(),
-            |id| pins.iter().map(|(g, _)| g.entries_of(id)).sum(),
+            |id| {
+                pins.iter().fold((0, 0), |(entries, leaves), (g, _)| {
+                    let (e, l) = g.extent_of(id);
+                    (entries + e, leaves + l)
+                })
+            },
             &self.catalog,
             q,
         )
@@ -662,7 +667,7 @@ impl ShardedEngine {
     /// Alongside the answers, every query gets its cache stamps: one
     /// [`AnswerStamp`] per consulted shard (from that shard's pin) plus a
     /// trailing *plan guard* whose generation is the sum over **all**
-    /// pinned shards. Planning scores placements by entry counts summed
+    /// pinned shards. Planning scores placements by extents summed
     /// across every shard, so a refresh on a shard a query never touches
     /// can still flip its chosen placement (and, for pruned queries, its
     /// answer); the guard makes any refresh anywhere a stamp mismatch,
@@ -1248,6 +1253,71 @@ mod tests {
         clear_intent(&root).unwrap();
         assert!(read_intent(&root).unwrap().is_none());
         clear_intent(&root).unwrap();
+    }
+
+    /// Central planning over summed `(entries, leaf pages)` must pick the
+    /// placement the unsharded planner picks, for every slice type of the
+    /// paper's 3-attribute lattice: the scatter-gather reads the same view
+    /// the unsharded engine would.
+    #[test]
+    fn plan_across_agrees_with_unsharded_planner() {
+        use ct_tpcd::{TpcdConfig, TpcdWarehouse};
+        let w = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.01, seed: 5 });
+        let a = w.attrs();
+        let (p, s, c) = (a.partkey, a.suppkey, a.custkey);
+        // The paper's §3 Cubetree configuration.
+        let views = vec![
+            ViewDef::new(0, vec![p, s, c], AggFn::Sum),
+            ViewDef::new(1, vec![p, s], AggFn::Sum),
+            ViewDef::new(2, vec![c], AggFn::Sum),
+            ViewDef::new(3, vec![s], AggFn::Sum),
+            ViewDef::new(4, vec![p], AggFn::Sum),
+            ViewDef::new(5, vec![], AggFn::Sum),
+        ];
+        let config = CubetreeConfig::new(views)
+            .with_replica(ct_common::ViewId(0), vec![s, c, p])
+            .with_replica(ct_common::ViewId(0), vec![c, p, s]);
+        let fact = w.generate_fact();
+        let mut base = CubetreeEngine::new(w.catalog().clone(), config.clone()).unwrap();
+        base.load(&fact).unwrap();
+        let base = base.forest().unwrap();
+        // Every slice type, with fixed values taken from a few fact rows.
+        let attrs = [p, s, c];
+        let mut queries = Vec::new();
+        for row in [0, fact.len() / 2, fact.len() - 1] {
+            let key = fact.key(row);
+            for node_mask in 0..8usize {
+                let node: Vec<usize> = (0..3).filter(|i| node_mask & (1 << i) != 0).collect();
+                for fix_mask in 0..(1usize << node.len()) {
+                    let (mut group_by, mut predicates) = (Vec::new(), Vec::new());
+                    for (j, &i) in node.iter().enumerate() {
+                        let col = fact.col_of(attrs[i]).unwrap();
+                        if fix_mask & (1 << j) != 0 {
+                            predicates.push((attrs[i], key[col]));
+                        } else {
+                            group_by.push(attrs[i]);
+                        }
+                    }
+                    queries.push(SliceQuery::new(group_by, predicates));
+                }
+            }
+        }
+        for shards in [1usize, 2, 4] {
+            let cfg = ShardedConfig::new(config.clone(), ShardSpec::new(shards));
+            let mut sharded = ShardedEngine::new(w.catalog().clone(), cfg).unwrap();
+            sharded.load(&fact).unwrap();
+            let pins = sharded.pin_all().unwrap();
+            for q in &queries {
+                let want = crate::query::plan_forest_query(base, w.catalog(), q).unwrap();
+                let got = sharded.plan_across(&pins, q).unwrap();
+                assert_eq!(
+                    got.placement,
+                    want.placement,
+                    "shards={shards}: {}",
+                    q.display(w.catalog())
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! Incoming queries land in a bounded queue. A single batch-former thread
 //! drains the queue into batches — flushing when either `max_batch` queries
 //! have accumulated or the oldest waiter has been queued for `max_delay` —
-//! and executes each batch against **one pinned generation** through the
-//! engine's batched scheduler ([`cubetree::query::execute_generation_query_batch`]).
-//! Under concurrency this turns N point dispatches into one scheduled sweep
-//! (packed-order sorting, shared scans, readahead), so the server reads
-//! *fewer* pages per query as load rises. When the queue is already
+//! and executes each batch against **one pinned generation** through
+//! [`ServingEngine::serve_batch`], which runs the engine's batched
+//! scheduler ([`cubetree::query::execute_generation_query_batch_with_delta`])
+//! when its environment is parallel. Under concurrency this turns N point
+//! dispatches into one scheduled sweep (packed-order sorting, shared scans,
+//! readahead); at the loads `bench_serving` drives, that reads as many pages
+//! per query as per-request dispatch. When the queue is already
 //! `max_depth` deep, [`Admission::submit`] refuses immediately; the HTTP
 //! layer translates that into `429 Too Many Requests` + `Retry-After`,
 //! keeping latency bounded instead of letting the queue grow without limit.

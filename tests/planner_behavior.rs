@@ -4,12 +4,21 @@
 //!   better ("view V{p,s,c} … is indeed faster due to the index");
 //! * the Cubetree replicas take over slices whose attribute is not the
 //!   primary copy's leading sort key;
-//! * the buffer pool drives the I/O counts (the §2.4 buffer-hit argument).
+//! * the buffer pool drives the I/O counts (the §2.4 buffer-hit argument);
+//! * the planner scores placements by the leaf pages their search scans,
+//!   so a slice reads one contiguous run of the replica sorted on its
+//!   attribute rather than every leaf of a smaller, wrongly sorted view.
 
+use cubetrees_repro::common::query::{normalize_rows, QueryRow};
+use cubetrees_repro::common::{AggState, AttrId};
+use cubetrees_repro::core::query::{placement_cost, plan_forest_query};
+use cubetrees_repro::storage::TempDir;
 use cubetrees_repro::workload::{paper_configs, run_batch, QueryGenerator};
 use cubetrees_repro::{
-    ConventionalEngine, CubetreeEngine, RolapEngine, SliceQuery, TpcdConfig, TpcdWarehouse,
+    AggFn, ConventionalEngine, CubetreeEngine, Relation, RolapEngine, SliceQuery, TpcdConfig,
+    TpcdWarehouse, ViewId,
 };
+use std::collections::HashMap;
 
 fn warehouse(sf: f64, seed: u64) -> TpcdWarehouse {
     TpcdWarehouse::new(TpcdConfig { scale_factor: sf, seed })
@@ -155,4 +164,109 @@ fn cubetree_update_does_not_leak_storage() {
     }
     let after = e.storage_bytes();
     assert_eq!(before, after, "merge-pack must remove the old generation's files");
+}
+
+/// Brute-force SUM answer straight from the fact relation.
+fn reference(fact: &Relation, q: &SliceQuery) -> Vec<QueryRow> {
+    let col = |a: AttrId| fact.col_of(a).unwrap();
+    let mut groups: HashMap<Vec<u64>, AggState> = HashMap::new();
+    for i in 0..fact.len() {
+        let key = fact.key(i);
+        if q.predicates.iter().all(|&(a, v)| key[col(a)] == v) {
+            let g = q.group_by.iter().map(|&a| key[col(a)]).collect();
+            groups.entry(g).or_insert_with(AggState::identity).merge(&fact.states[i]);
+        }
+    }
+    normalize_rows(
+        groups
+            .into_iter()
+            .map(|(key, st)| QueryRow { key, agg: st.finalize(AggFn::Sum) })
+            .collect(),
+    )
+}
+
+#[test]
+fn partkey_slice_of_ps_node_reads_one_leaf_run() {
+    let w = warehouse(0.01, 13);
+    let fact = w.generate_fact();
+    let a = w.attrs();
+    let host = TempDir::new("planner-leaf-run").unwrap();
+    let open =
+        || CubetreeEngine::open_at(host.path(), w.catalog().clone(), paper_configs(&w).cubetree);
+    open().unwrap().load(&fact).unwrap();
+    // Reopen so the buffer pool starts cold and every page the search
+    // touches is a physical read.
+    let e = open().unwrap();
+    let forest = e.forest().unwrap();
+    let pin = forest.pin();
+    // V{ps} is sorted suppkey-major, so a partkey slice gets no sort prefix
+    // from it; at this scale it is large enough for that to matter.
+    let (_, ps_leaves) = pin.extent_of(ViewId(1));
+    assert!(ps_leaves >= 20, "V{{ps}} spans only {ps_leaves} leaves");
+    for part in [1, 777, w.parts()] {
+        let q = SliceQuery::new(vec![a.suppkey], vec![(a.partkey, part)]);
+        let plan = plan_forest_query(forest, w.catalog(), &q).unwrap();
+        let chosen = &forest.placements()[plan.placement];
+        assert_eq!(
+            chosen.def.projection.last(),
+            Some(&a.partkey),
+            "expected a placement sorted partkey-major, got {:?}",
+            chosen.def.projection
+        );
+        let height = u64::from(pin.tree(chosen.tree).stats().height);
+        let before = e.env().snapshot();
+        let rows = e.query(&q).unwrap();
+        let d = e.env().snapshot().since(&before);
+        let pages = d.seq_reads + d.rand_reads;
+        assert!(pages <= height + 1, "partkey {part}: read {pages} pages, tree height {height}");
+        assert_eq!(normalize_rows(rows), reference(&fact, &q), "partkey {part}");
+    }
+}
+
+#[test]
+fn chosen_placement_scans_fewest_leaves_for_every_slice_type() {
+    // sf 0.01: V{ps} already spans dozens of leaves.
+    let w = warehouse(0.01, 17);
+    let fact = w.generate_fact();
+    let mut e = CubetreeEngine::new(w.catalog().clone(), paper_configs(&w).cubetree).unwrap();
+    e.load(&fact).unwrap();
+    let a = w.attrs();
+    let attrs = [a.partkey, a.suppkey, a.custkey];
+    let forest = e.forest().unwrap();
+    let pin = forest.pin();
+    // Fixed values taken from one fact row, so every slice is non-empty.
+    let row = fact.key(fact.len() / 2).to_vec();
+    for node_mask in 0..8usize {
+        let node: Vec<AttrId> =
+            (0..3).filter(|i| node_mask & (1 << i) != 0).map(|i| attrs[i]).collect();
+        for fix_mask in 0..(1usize << node.len()) {
+            let (mut group_by, mut predicates) = (Vec::new(), Vec::new());
+            for (j, &attr) in node.iter().enumerate() {
+                if fix_mask & (1 << j) != 0 {
+                    predicates.push((attr, row[fact.col_of(attr).unwrap()]));
+                } else {
+                    group_by.push(attr);
+                }
+            }
+            let q = SliceQuery::new(group_by, predicates);
+            let label = q.display(w.catalog());
+            let plan = plan_forest_query(forest, w.catalog(), &q).unwrap();
+            let cost = |i: usize| {
+                let p = &pin.placements()[i];
+                placement_cost(p, pin.extent_of(p.def.id), w.catalog(), &q)
+            };
+            let chosen = cost(plan.placement).expect("chosen placement derives the query");
+            for i in 0..pin.placements().len() {
+                if let Some(other) = cost(i) {
+                    assert!(
+                        chosen.leaf_pages <= other.leaf_pages,
+                        "{label}: chose {} leaf pages over {} (placement {i})",
+                        chosen.leaf_pages,
+                        other.leaf_pages
+                    );
+                }
+            }
+            assert_eq!(normalize_rows(e.query(&q).unwrap()), reference(&fact, &q), "{label}");
+        }
+    }
 }
